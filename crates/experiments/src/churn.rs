@@ -458,6 +458,21 @@ mod tests {
     }
 
     #[test]
+    fn setups_in_flight_at_the_drain_leave_no_reservation() {
+        // At 200 setups/s some setups are still travelling hop by hop when
+        // the drain starts; their late acceptances must be torn down too.
+        for seed in [2, 4, 6, 7, 16] {
+            let paper = PaperConfig {
+                seed,
+                duration: SimTime::from_secs(2),
+                ..PaperConfig::paper()
+            };
+            let out = run(&ChurnConfig::new(paper, 200.0, 0.1));
+            assert_eq!(out.residual_reserved_bps, 0.0, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn admitted_predicted_flows_meet_their_bounds() {
         let out = run(&fast(0.6));
         assert_eq!(out.violations, 0, "{out:?}");

@@ -213,9 +213,15 @@ impl ChurnDriver {
 
     /// Observe a completed signaling transaction: an accepted setup gets
     /// its leased source the instant the confirmation lands, plus a
-    /// scheduled departure.
+    /// scheduled departure.  While draining, a setup that was still in
+    /// flight when the drain began is torn down as soon as it lands.
     fn on_signal(handle: &ChurnHandle, event: &SignalEvent, sim: &mut Sim) {
         if handle.borrow().draining {
+            if let SignalEvent::Accepted { flow, .. } = event {
+                if handle.borrow_mut().requested.remove(flow).is_some() {
+                    sim.teardown(*flow);
+                }
+            }
             return;
         }
         match event {

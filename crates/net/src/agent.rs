@@ -33,38 +33,45 @@ pub struct Delivery {
 }
 
 /// The command buffer an agent fills during a callback.
+///
+/// Inside a simulation the network owns one buffer and hands it to every
+/// callback in turn: after the callback returns, the network drains the
+/// commands (packets first, then timers, releases and setups) and keeps
+/// the emptied buffer, so steady-state callbacks allocate nothing.  A
+/// callback that starts while another agent's commands are still being
+/// applied gets a fresh buffer of its own.
 #[derive(Debug, Default)]
 pub struct AgentApi {
     now: SimTime,
-    outbox: Vec<Packet>,
-    timers: Vec<(SimTime, u64)>,
-    setups: Vec<(FlowConfig, u64)>,
-    releases: Vec<FlowId>,
-}
-
-/// Everything an agent asked for during one callback.
-#[derive(Debug, Default)]
-pub(crate) struct AgentCommands {
-    pub packets: Vec<Packet>,
-    pub timers: Vec<(SimTime, u64)>,
-    pub setups: Vec<(FlowConfig, u64)>,
-    pub releases: Vec<FlowId>,
+    pub(crate) outbox: Vec<Packet>,
+    pub(crate) timers: Vec<(SimTime, u64)>,
+    pub(crate) setups: Vec<(FlowConfig, u64)>,
+    pub(crate) releases: Vec<FlowId>,
 }
 
 impl AgentApi {
     /// Create an API snapshot for a callback occurring at `now`.
     ///
     /// Public so downstream crates can unit-test their own agents by calling
-    /// the trait methods directly; inside a simulation the network creates
-    /// these for every callback.
+    /// the trait methods directly; inside a simulation the network reuses
+    /// one buffer across callbacks instead.
     pub fn new(now: SimTime) -> Self {
         AgentApi {
             now,
-            outbox: Vec::new(),
-            timers: Vec::new(),
-            setups: Vec::new(),
-            releases: Vec::new(),
+            ..AgentApi::default()
         }
+    }
+
+    /// Ready a drained buffer for a callback occurring at `now`.
+    pub(crate) fn reset(&mut self, now: SimTime) {
+        debug_assert!(
+            self.outbox.is_empty()
+                && self.timers.is_empty()
+                && self.setups.is_empty()
+                && self.releases.is_empty(),
+            "a reused command buffer must be drained"
+        );
+        self.now = now;
     }
 
     /// The current simulated time.
@@ -102,15 +109,6 @@ impl AgentApi {
     /// tests).
     pub fn pending_sends(&self) -> usize {
         self.outbox.len()
-    }
-
-    pub(crate) fn into_commands(self) -> AgentCommands {
-        AgentCommands {
-            packets: self.outbox,
-            timers: self.timers,
-            setups: self.setups,
-            releases: self.releases,
-        }
     }
 }
 
@@ -152,11 +150,10 @@ mod tests {
         api.set_timer(SimTime::from_millis(10), 42);
         api.release_flow(FlowId(3));
         assert_eq!(api.pending_sends(), 1);
-        let cmds = api.into_commands();
-        assert_eq!(cmds.packets.len(), 1);
-        assert_eq!(cmds.timers, vec![(SimTime::from_millis(10), 42)]);
-        assert_eq!(cmds.releases, vec![FlowId(3)]);
-        assert!(cmds.setups.is_empty());
+        assert_eq!(api.outbox.len(), 1);
+        assert_eq!(api.timers, vec![(SimTime::from_millis(10), 42)]);
+        assert_eq!(api.releases, vec![FlowId(3)]);
+        assert!(api.setups.is_empty());
     }
 
     #[test]

@@ -223,6 +223,9 @@ pub struct Network {
     monitor: Monitor,
     telemetry: NetTelemetry,
     queue: EventQueue<NetEvent>,
+    /// The command buffer every agent callback fills; see
+    /// [`dispatch`](Network::dispatch).
+    commands: AgentApi,
     now: SimTime,
     /// Horizon of the `run_events` call in progress, mirrored into fields
     /// so the tx-complete elision in [`start_transmission`] can tell
@@ -263,6 +266,7 @@ impl Network {
             monitor: Monitor::new(0, num_links),
             telemetry: NetTelemetry::new(num_links),
             queue: EventQueue::new(),
+            commands: AgentApi::default(),
             now: SimTime::ZERO,
             run_horizon: SimTime::ZERO,
             run_inclusive: false,
@@ -900,7 +904,7 @@ impl Network {
         while self.started_agents < self.agents.len() {
             let next = AgentId(self.started_agents);
             self.started_agents += 1;
-            self.dispatch_start(next);
+            self.dispatch(next, |a, api| a.start(api));
         }
         while let Some(t) = self.queue.peek_time() {
             if t > horizon || (t == horizon && !inclusive) {
@@ -910,7 +914,9 @@ impl Network {
             debug_assert!(t >= self.now, "event from the past");
             self.now = t;
             match ev {
-                NetEvent::Timer { agent, token } => self.dispatch_timer(agent, token),
+                NetEvent::Timer { agent, token } => {
+                    self.dispatch(agent, |a, api| a.on_timer(token, api))
+                }
                 NetEvent::TxComplete { link } => self.on_tx_complete(link),
                 NetEvent::Arrival { packet } => self.forward(packet),
                 NetEvent::TxArrival { link, packet } => self.on_tx_arrival(link, packet),
@@ -919,7 +925,7 @@ impl Network {
                     agent,
                     token,
                     result,
-                } => self.dispatch_setup(agent, token, result),
+                } => self.dispatch(agent, |a, api| a.on_setup(token, result, api)),
             }
         }
         self.now = horizon;
@@ -928,19 +934,35 @@ impl Network {
 
     // ----- agent dispatch -------------------------------------------------
 
-    fn apply_commands(&mut self, agent: AgentId, api: AgentApi) {
-        let commands = api.into_commands();
-        for p in commands.packets {
+    /// Run one agent callback on the shared command buffer, then apply
+    /// what the agent asked for.  The buffer is taken out of `self` for
+    /// the call, so a callback reached while these commands are being
+    /// applied finds a fresh default buffer in its place; the drained
+    /// outer buffer is put back last and keeps its allocations.
+    fn dispatch(&mut self, id: AgentId, call: impl FnOnce(&mut dyn Agent, &mut AgentApi)) {
+        let mut api = std::mem::take(&mut self.commands);
+        api.reset(self.now);
+        let mut agent = std::mem::replace(&mut self.agents[id.0], Box::new(NoopAgent));
+        call(agent.as_mut(), &mut api);
+        self.agents[id.0] = agent;
+        self.apply_commands(id, &mut api);
+        self.commands = api;
+    }
+
+    /// Apply and drain one callback's commands: packets, then timers,
+    /// releases and setups.
+    fn apply_commands(&mut self, agent: AgentId, api: &mut AgentApi) {
+        for p in api.outbox.drain(..) {
             self.inject(p);
         }
-        for (delay, token) in commands.timers {
+        for (delay, token) in api.timers.drain(..) {
             self.queue
                 .push(self.now + delay, NetEvent::Timer { agent, token });
         }
-        for flow in commands.releases {
+        for flow in api.releases.drain(..) {
             self.release_flow(flow);
         }
-        for (config, token) in commands.setups {
+        for (config, token) in api.setups.drain(..) {
             let result = self.request_flow(config);
             self.queue.push(
                 self.now,
@@ -951,38 +973,6 @@ impl Network {
                 },
             );
         }
-    }
-
-    fn dispatch_start(&mut self, id: AgentId) {
-        let mut api = AgentApi::new(self.now);
-        let mut agent = std::mem::replace(&mut self.agents[id.0], Box::new(NoopAgent));
-        agent.start(&mut api);
-        self.agents[id.0] = agent;
-        self.apply_commands(id, api);
-    }
-
-    fn dispatch_timer(&mut self, id: AgentId, token: u64) {
-        let mut api = AgentApi::new(self.now);
-        let mut agent = std::mem::replace(&mut self.agents[id.0], Box::new(NoopAgent));
-        agent.on_timer(token, &mut api);
-        self.agents[id.0] = agent;
-        self.apply_commands(id, api);
-    }
-
-    fn dispatch_setup(&mut self, id: AgentId, token: u64, result: Result<FlowId, SetupError>) {
-        let mut api = AgentApi::new(self.now);
-        let mut agent = std::mem::replace(&mut self.agents[id.0], Box::new(NoopAgent));
-        agent.on_setup(token, result, &mut api);
-        self.agents[id.0] = agent;
-        self.apply_commands(id, api);
-    }
-
-    fn dispatch_delivery(&mut self, id: AgentId, delivery: Delivery) {
-        let mut api = AgentApi::new(self.now);
-        let mut agent = std::mem::replace(&mut self.agents[id.0], Box::new(NoopAgent));
-        agent.on_packet(delivery, &mut api);
-        self.agents[id.0] = agent;
-        self.apply_commands(id, api);
     }
 
     // ----- forwarding -----------------------------------------------------
@@ -1174,14 +1164,12 @@ impl Network {
             .record_delivery(packet.flow, queueing_delay, self.now);
         self.packet_died(packet.flow);
         if let Some(sink) = self.flows[flow_idx].config.sink {
-            self.dispatch_delivery(
-                sink,
-                Delivery {
-                    packet,
-                    queueing_delay,
-                    total_delay,
-                },
-            );
+            let delivery = Delivery {
+                packet,
+                queueing_delay,
+                total_delay,
+            };
+            self.dispatch(sink, |a, api| a.on_packet(delivery, api));
         }
     }
 }
@@ -1408,6 +1396,116 @@ mod tests {
         assert_eq!(deliveries[0].queueing_delay, SimTime::ZERO);
         assert_eq!(deliveries[1].total_delay, SimTime::from_millis(2));
         assert_eq!(deliveries[1].queueing_delay, SimTime::MILLISECOND);
+    }
+
+    type CallLog = std::rc::Rc<std::cell::RefCell<Vec<(SimTime, &'static str, &'static str, u64)>>>;
+
+    /// Logs every callback; on a delivery it echoes the packet onto `out`
+    /// and sets a timer, both from inside `on_packet`.
+    struct Echo {
+        name: &'static str,
+        out: Option<FlowId>,
+        log: CallLog,
+    }
+
+    impl Agent for Echo {
+        fn on_timer(&mut self, token: u64, api: &mut AgentApi) {
+            self.log
+                .borrow_mut()
+                .push((api.now(), self.name, "timer", token));
+        }
+        fn on_packet(&mut self, delivery: Delivery, api: &mut AgentApi) {
+            let seq = delivery.packet.seq;
+            self.log
+                .borrow_mut()
+                .push((api.now(), self.name, "packet", seq));
+            if let Some(out) = self.out {
+                api.send(Packet::data(out, seq, PKT, api.now()));
+                api.set_timer(SimTime::from_micros(500), seq + 100);
+            }
+        }
+    }
+
+    /// `sender` feeds an echo sink over link 0; the echo forwards each
+    /// delivery over link 1 to a recording sink.
+    fn echo_net(log: &CallLog) -> (Network, AgentId, AgentId, FlowId) {
+        let (topo, _nodes, links) = Topology::chain(3, MBIT, SimTime::ZERO, 200);
+        let mut net = Network::new(topo);
+        let mut agent = |name, out| {
+            net.add_agent(Box::new(Echo {
+                name,
+                out,
+                log: log.clone(),
+            }))
+        };
+        let sender = agent("sender", None);
+        let recv = agent("recv", None);
+        let f1 = net.add_flow(FlowConfig::datagram(vec![links[1]]).with_sink(recv));
+        let echo = net.add_agent(Box::new(Echo {
+            name: "echo",
+            out: Some(f1),
+            log: log.clone(),
+        }));
+        let f0 = net.add_flow(FlowConfig::datagram(vec![links[0]]).with_sink(echo));
+        net.run_until(SimTime::ZERO);
+        (net, sender, echo, f0)
+    }
+
+    #[test]
+    fn nested_sink_dispatch_matches_fresh_buffers() {
+        let delivery = |flow, seq| Delivery {
+            packet: Packet::data(flow, seq, PKT, SimTime::ZERO),
+            queueing_delay: SimTime::ZERO,
+            total_delay: SimTime::ZERO,
+        };
+        let sender_commands = |api: &mut AgentApi, f0| {
+            api.send(Packet::data(f0, 1, PKT, api.now()));
+            api.set_timer(SimTime::from_millis(3), 7);
+        };
+
+        // Nested: the sender's callback has filled the shared buffer, and
+        // before its commands are applied a delivery reaches the echo sink,
+        // which sends and sets a timer of its own.
+        let nested = CallLog::default();
+        let (mut net, sender, echo, f0) = echo_net(&nested);
+        let mut outer = std::mem::take(&mut net.commands);
+        outer.reset(net.now());
+        sender_commands(&mut outer, f0);
+        net.dispatch(echo, |a, api| a.on_packet(delivery(f0, 9), api));
+        net.apply_commands(sender, &mut outer);
+        net.commands = outer;
+        net.run_until(SimTime::from_millis(10));
+
+        // The same calls in the same order, each on a fresh buffer.
+        let fresh = CallLog::default();
+        let (mut net, sender, echo, f0) = echo_net(&fresh);
+        echo_agent_call(&mut net, echo, delivery(f0, 9));
+        let mut api = AgentApi::new(net.now());
+        sender_commands(&mut api, f0);
+        net.apply_commands(sender, &mut api);
+        net.run_until(SimTime::from_millis(10));
+
+        let us = SimTime::from_micros;
+        let want = vec![
+            (us(0), "echo", "packet", 9),
+            (us(500), "echo", "timer", 109),
+            (us(1000), "recv", "packet", 9),
+            (us(1000), "echo", "packet", 1),
+            (us(1500), "echo", "timer", 101),
+            (us(2000), "recv", "packet", 1),
+            (us(3000), "sender", "timer", 7),
+        ];
+        assert_eq!(*fresh.borrow(), want);
+        assert_eq!(*nested.borrow(), want);
+    }
+
+    /// One echo-sink callback on a fresh buffer, applied at once.
+    fn echo_agent_call(net: &mut Network, echo: AgentId, delivery: Delivery) {
+        let mut api = AgentApi::new(net.now());
+        let mut agent = std::mem::replace(&mut net.agents[echo.0], Box::new(NoopAgent));
+        agent.on_packet(delivery, &mut api);
+        net.agents[echo.0] = agent;
+        net.apply_commands(echo, &mut api);
     }
 
     #[test]

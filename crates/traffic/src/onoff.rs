@@ -86,6 +86,8 @@ pub struct OnOffSource {
     config: OnOffConfig,
     rng: Pcg64,
     policer: Option<TokenBucket>,
+    /// The inter-packet gap at the peak rate, `1 / peak_rate_pps`.
+    peak_gap: SimTime,
     /// Packets remaining in the current burst (0 = idle).
     remaining_in_burst: u64,
     seq: u64,
@@ -101,6 +103,7 @@ impl OnOffSource {
             flow,
             rng: Pcg64::new(config.seed),
             policer,
+            peak_gap: SimTime::from_secs_f64(1.0 / config.peak_rate_pps),
             config,
             remaining_in_burst: 0,
             seq: 0,
@@ -157,13 +160,13 @@ impl Agent for OnOffSource {
         }
         self.emit_one(api);
         self.remaining_in_burst -= 1;
-        let peak_gap = SimTime::from_secs_f64(1.0 / self.config.peak_rate_pps);
         let next = if self.remaining_in_burst > 0 {
-            peak_gap
+            self.peak_gap
         } else {
             // The burst is over: idle for an exponential period (measured
             // after the last packet's peak-rate slot).
-            peak_gap + SimTime::from_secs_f64(self.rng.exponential(self.config.mean_idle_secs()))
+            self.peak_gap
+                + SimTime::from_secs_f64(self.rng.exponential(self.config.mean_idle_secs()))
         };
         api.set_timer(next, 0);
     }
